@@ -13,9 +13,10 @@
 /// carries reuse under the pair model, the maximum-reuse point (Section
 /// 6.1) plus the partial-reuse points with and without bypass (Section
 /// 6.2). Levels the closed-form model cannot see (multi-loop interactions,
-/// the paper's listed future work) are covered by the working-set knee
-/// counter, the library's equivalent of the paper's simulation fallback
-/// ("for other kind of expressions we will rely on simulation", §5.1).
+/// the paper's listed future work) are covered by the working-set knees,
+/// exact per-level footprints that stand in for the paper's simulation
+/// fallback ("for other kind of expressions we will rely on simulation",
+/// §5.1).
 
 namespace dr::analytic {
 
@@ -47,9 +48,9 @@ std::vector<AnalyticPoint> analyticReusePoints(
     const LoopNest& nest, const ArrayAccess& access,
     const AnalyticCurveOptions& opts = {});
 
-/// A per-loop-level working-set knee measured by counting (not closed
-/// form): holding the full working set of loops [level..innermost] for one
-/// iteration of the outer loops yields `misses` compulsory transfers.
+/// A per-loop-level working-set knee: holding the full working set of
+/// loops [level..innermost] for one iteration of the outer loops yields
+/// `misses` compulsory transfers. Exact counts, no replacement model.
 struct LevelKnee {
   int level = 0;
   dr::support::i64 workingSetMax = 0;  ///< knee size A (max over windows)
@@ -58,9 +59,32 @@ struct LevelKnee {
   double FR = 1.0;
 };
 
-/// Working-set knees of one access (or several merged accesses with
-/// identical index expressions — pass all their indices) of one nest.
-/// One walk of the iteration space; exact counting, no replacement model.
+/// How workingSetKnees derived one level's knee.
+enum class KneeMethod {
+  /// Product of the per-dimension offset-shape counts: one index
+  /// expression, no inner loop driving two dimensions. O(depth log depth).
+  Product,
+  /// One pass over the first window, shared by every such level (several
+  /// index expressions, windows still translates of the first).
+  WindowCount,
+  /// Full walk of the iteration space with one window set per level: the
+  /// accesses' coefficients differ on a loop above the level, so the
+  /// windows are not translates of each other.
+  Walk,
+};
+
+/// The method workingSetKnees uses for each level of `nest` on the group
+/// of read accesses `accessIndices` (one signal).
+std::vector<KneeMethod> kneeMethods(const loopir::LoopNest& nest,
+                                    const std::vector<int>& accessIndices);
+
+/// Working-set knees of one access (or several accesses of one signal —
+/// pass all their indices) of one nest. The address map is injective, so
+/// when every access has the same coefficients on the loops above level l
+/// each outer iteration's window is a translate of the first: then
+/// workingSetMax = |W0| and misses = (outer iterations) * |W0|, with |W0|
+/// in closed form (Product) or counted over one window (WindowCount).
+/// Only levels where the windows differ in shape walk the iteration space.
 std::vector<LevelKnee> workingSetKnees(const loopir::Program& p,
                                        const dr::trace::AddressMap& map,
                                        int nestIdx,

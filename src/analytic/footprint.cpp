@@ -1,7 +1,6 @@
 #include "analytic/footprint.h"
 
 #include <algorithm>
-#include <map>
 
 #include "support/contracts.h"
 
@@ -9,6 +8,7 @@ namespace dr::analytic {
 
 using dr::support::checkedAdd;
 using dr::support::checkedMul;
+using dr::support::checkedSub;
 using loopir::AffineExpr;
 using loopir::ArrayAccess;
 using loopir::LoopNest;
@@ -16,6 +16,7 @@ using loopir::LoopNest;
 i64 DimShape::overlapWithShift(i64 delta) const {
   if (delta < 0) delta = -delta;
   if (delta >= span) return 0;
+  if (contiguous) return span - delta;
   i64 n = 0;
   for (i64 i = 0; i + delta < span; ++i)
     if (reachable[static_cast<std::size_t>(i)] &&
@@ -24,43 +25,75 @@ i64 DimShape::overlapWithShift(i64 delta) const {
   return n;
 }
 
+DimShape offsetShape(std::vector<std::pair<i64, i64>> terms) {
+  // The sign of a coefficient only mirrors the set, which changes neither
+  // counts nor shifted overlaps; zero coefficients and single-trip loops
+  // add nothing.
+  for (auto& [c, trip] : terms) {
+    DR_REQUIRE(trip >= 1);
+    if (c < 0) c = -c;
+  }
+  std::erase_if(terms,
+                [](const auto& t) { return t.first == 0 || t.second == 1; });
+  std::sort(terms.begin(), terms.end());
+
+  // Ascending coefficients: while each one is at most the span reached so
+  // far, the translates [k*c, k*c + span) tile without gaps and the offset
+  // set stays the whole interval. Only the terms after the first gap need
+  // the reachable-offset sweep.
+  DimShape shape;
+  std::size_t t = 0;
+  for (; t < terms.size() && terms[t].first <= shape.span; ++t)
+    shape.span = checkedAdd(
+        shape.span, checkedMul(terms[t].first, terms[t].second - 1));
+  if (t == terms.size()) {
+    shape.count = shape.span;
+    return shape;
+  }
+
+  i64 span = shape.span;
+  for (std::size_t r = t; r < terms.size(); ++r)
+    span = checkedAdd(span, checkedMul(terms[r].first, terms[r].second - 1));
+  std::vector<bool> reachable(static_cast<std::size_t>(span), false);
+  std::fill_n(reachable.begin(), shape.span, true);
+  for (; t < terms.size(); ++t) {
+    const auto [c, trip] = terms[t];
+    std::vector<bool> next = reachable;
+    for (i64 x = 1; x < trip; ++x) {
+      const i64 shift = c * x;  // <= span - 1, checked above
+      for (i64 i = 0; i + shift < span; ++i)
+        if (reachable[static_cast<std::size_t>(i)])
+          next[static_cast<std::size_t>(i + shift)] = true;
+    }
+    reachable = std::move(next);
+  }
+  shape.span = span;
+  shape.count =
+      static_cast<i64>(std::count(reachable.begin(), reachable.end(), true));
+  shape.contiguous = shape.count == shape.span;
+  DR_ENSURE(reachable.front() && reachable.back());
+  if (!shape.contiguous) shape.reachable = std::move(reachable);
+  return shape;
+}
+
 DimShape dimShape(const AffineExpr& expr, const LoopNest& nest, int level) {
   DR_REQUIRE(level >= 0 && level <= nest.depth());
   for (const loopir::Loop& l : nest.loops) DR_REQUIRE(l.isNormalized());
+  std::vector<std::pair<i64, i64>> terms;  // (coeff, trip)
+  for (int d = level; d < nest.depth(); ++d)
+    terms.emplace_back(expr.coeff(d),
+                       nest.loops[static_cast<std::size_t>(d)].tripCount());
+  return offsetShape(std::move(terms));
+}
 
-  // Offsets Σ |c_d| * x_d, x_d in [0, trip_d - 1]; the sign of c_d only
-  // mirrors the set, which changes neither counts nor shifted overlaps.
-  i64 span = 1;
-  std::vector<std::pair<i64, i64>> terms;  // (|coeff|, trip)
-  for (int d = level; d < nest.depth(); ++d) {
-    i64 c = expr.coeff(d);
-    if (c == 0) continue;
-    if (c < 0) c = -c;
-    i64 trip = nest.loops[static_cast<std::size_t>(d)].tripCount();
-    span = checkedAdd(span, checkedMul(c, trip - 1));
-    terms.emplace_back(c, trip);
+bool factorsPerDimension(const ArrayAccess& access, int level, int depth) {
+  for (int d = level; d < depth; ++d) {
+    int users = 0;
+    for (const AffineExpr& e : access.indices)
+      if (e.dependsOn(d)) ++users;
+    if (users > 1) return false;
   }
-
-  DimShape shape;
-  shape.span = span;
-  shape.reachable.assign(static_cast<std::size_t>(span), false);
-  shape.reachable[0] = true;
-  for (auto [c, trip] : terms) {
-    std::vector<bool> next(static_cast<std::size_t>(span), false);
-    for (i64 x = 0; x < trip; ++x) {
-      i64 shift = checkedMul(c, x);
-      if (shift >= span) break;
-      for (i64 i = 0; i + shift < span; ++i)
-        if (shape.reachable[static_cast<std::size_t>(i)])
-          next[static_cast<std::size_t>(i + shift)] = true;
-    }
-    shape.reachable = std::move(next);
-  }
-  shape.count = static_cast<i64>(
-      std::count(shape.reachable.begin(), shape.reachable.end(), true));
-  shape.contiguous = shape.count == shape.span;
-  DR_ENSURE(shape.reachable.front() && shape.reachable.back());
-  return shape;
+  return true;
 }
 
 std::vector<MultiLevelPoint> multiLevelPoints(const LoopNest& nest,
@@ -68,87 +101,50 @@ std::vector<MultiLevelPoint> multiLevelPoints(const LoopNest& nest,
   for (const loopir::Loop& l : nest.loops) DR_REQUIRE(l.isNormalized());
   const int depth = nest.depth();
   const i64 Ctot = nest.iterationCount();
-  const std::size_t dims = access.indices.size();
 
   std::vector<MultiLevelPoint> out;
   for (int level = 0; level < depth; ++level) {
     MultiLevelPoint pt;
     pt.level = level;
     pt.Ctot = Ctot;
-
     // The per-dimension factorization needs every inner iterator to drive
     // at most one dimension.
-    for (int d = level; d < depth; ++d) {
-      int users = 0;
-      for (const AffineExpr& e : access.indices)
-        if (e.dependsOn(d)) ++users;
-      if (users > 1) pt.exact = false;
-    }
+    pt.exact = factorsPerDimension(access, level, depth);
 
     std::vector<DimShape> shapes;
-    shapes.reserve(dims);
+    shapes.reserve(access.indices.size());
     pt.size = 1;
     for (const AffineExpr& e : access.indices) {
       shapes.push_back(dimShape(e, nest, level));
       pt.size = checkedMul(pt.size, shapes.back().count);
     }
 
-    if (level == 0) {
-      pt.misses = pt.size;  // one fill of the whole footprint
-    } else {
-      // Walk the outer tuples; per dimension the footprint keeps its shape
-      // and translates by the change of the outer contribution.
-      std::vector<i64> iter(static_cast<std::size_t>(level));
-      std::vector<i64> k(static_cast<std::size_t>(level), 0);
-      for (int d = 0; d < level; ++d)
-        iter[static_cast<std::size_t>(d)] =
-            nest.loops[static_cast<std::size_t>(d)].begin;
-
-      // Checked: at 8K frame sizes coeff*iter products reach ~2^33 per
-      // term and a wrapped base would silently corrupt the miss count.
-      auto outerBase = [&](const AffineExpr& e) {
-        i64 v = 0;
-        for (int d = 0; d < level; ++d)
-          v = checkedAdd(
-              v, checkedMul(e.coeff(d), iter[static_cast<std::size_t>(d)]));
-        return v;
-      };
-
-      std::vector<i64> prevBase(dims);
-      std::vector<std::map<i64, i64>> overlapCache(dims);
-      bool first = true;
-      pt.misses = 0;
-      for (;;) {
-        if (first) {
-          pt.misses = checkedAdd(pt.misses, pt.size);
-          for (std::size_t d = 0; d < dims; ++d)
-            prevBase[d] = outerBase(access.indices[d]);
-          first = false;
-        } else {
-          i64 overlap = 1;
-          for (std::size_t d = 0; d < dims; ++d) {
-            i64 base = outerBase(access.indices[d]);
-            i64 delta = base - prevBase[d];
-            prevBase[d] = base;
-            auto [it, inserted] = overlapCache[d].try_emplace(delta, 0);
-            if (inserted) it->second = shapes[d].overlapWithShift(delta);
-            overlap = checkedMul(overlap, it->second);
-          }
-          pt.misses = checkedAdd(pt.misses, pt.size - overlap);
-        }
-        int d = level - 1;
-        for (; d >= 0; --d) {
-          auto ud = static_cast<std::size_t>(d);
-          if (++k[ud] <
-              nest.loops[ud].tripCount()) {
-            iter[ud] += 1;
-            break;
-          }
-          k[ud] = 0;
-          iter[ud] = nest.loops[ud].begin;
-        }
-        if (d < 0) break;
+    // The first outer tuple fills the whole footprint. After that,
+    // consecutive tuples differ in one way per loop d < level: d steps by
+    // one and the outer loops below it reset, so each dimension's footprint
+    // translates by c_d - sum_{d<f<level} c_f (trip_f - 1). That transition
+    // happens prod_{e<d} trip_e * (trip_d - 1) times.
+    pt.misses = pt.size;
+    i64 tuplesAbove = 1;  // prod_{e<d} trip_e
+    for (int d = 0; d < level; ++d) {
+      const i64 trip = nest.loops[static_cast<std::size_t>(d)].tripCount();
+      const i64 transitions = checkedMul(tuplesAbove, trip - 1);
+      tuplesAbove = checkedMul(tuplesAbove, trip);
+      if (transitions == 0) continue;
+      i64 overlap = 1;
+      for (std::size_t k = 0; k < shapes.size(); ++k) {
+        const AffineExpr& e = access.indices[k];
+        i64 delta = e.coeff(d);
+        for (int f = d + 1; f < level; ++f)
+          delta = checkedSub(
+              delta,
+              checkedMul(e.coeff(f),
+                         nest.loops[static_cast<std::size_t>(f)].tripCount() -
+                             1));
+        overlap = checkedMul(overlap, shapes[k].overlapWithShift(delta));
       }
+      pt.misses =
+          checkedAdd(pt.misses, checkedMul(transitions, pt.size - overlap));
     }
 
     DR_CHECK(pt.misses >= 1);

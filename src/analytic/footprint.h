@@ -1,5 +1,6 @@
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "analytic/pair_analysis.h"
@@ -22,10 +23,13 @@
 ///    outer loops; its fills are sum over consecutive outer iterations of
 ///    |S_t \ S_{t-1}|, and the overlap |S_t ^ S_{t-1}| factors per
 ///    dimension into shifted-set intersections of the same fixed shape.
+///    Consecutive outer tuples differ in only `level` ways (loop d steps,
+///    the outer loops below it reset), so the sum has `level` terms.
 ///
-/// Everything is computed without touching the trace: the per-dimension
-/// shape is derived once from the coefficients, and the outer walk is
-/// pure integer arithmetic over loop bounds.
+/// Everything is computed without touching the trace or enumerating outer
+/// tuples: one level costs O(depth * dims) overlap queries plus the
+/// shapes, and a shape whose offsets tile an interval costs
+/// O(depth log depth) (see offsetShape).
 
 namespace dr::analytic {
 
@@ -37,11 +41,20 @@ struct DimShape {
   i64 span = 1;      ///< hi - lo + 1 of the offset range
   i64 count = 1;     ///< reachable offsets (== span when contiguous)
   bool contiguous = true;
-  std::vector<bool> reachable;  ///< size span; reachable[0] and back are true
+  /// Size span with reachable[0] and back true when the shape has gaps;
+  /// empty when contiguous (every offset in the span is reachable).
+  std::vector<bool> reachable;
 
-  /// |S ^ (S + delta)| for this shape.
+  /// |S ^ (S + delta)| for this shape; O(1) when contiguous.
   i64 overlapWithShift(i64 delta) const;
 };
+
+/// Shape of sum_t c_t * x_t with x_t in [0, trip_t), from (c_t, trip_t)
+/// terms of any sign. Terms are added in ascending |c|: while each is at
+/// most the span reached so far the set stays an interval, so no offset
+/// bitset is built; only terms after the first gap pay O(trip * span).
+/// Precondition: every trip >= 1.
+DimShape offsetShape(std::vector<std::pair<i64, i64>> terms);
 
 /// Shape of `expr` restricted to loops [level, depth) of `nest` (the
 /// outer iterators only translate it). Precondition: normalized nest.
@@ -62,8 +75,15 @@ struct MultiLevelPoint {
   bool exact = true;
 };
 
+/// True when every loop in [level, depth) drives at most one index
+/// dimension of `access`: the inner footprint is then the product of the
+/// per-dimension shapes.
+bool factorsPerDimension(const loopir::ArrayAccess& access, int level,
+                         int depth);
+
 /// Closed-form points for every loop level of `access` (level 0 =
-/// whole-signal copy). Precondition: normalized nest.
+/// whole-signal copy). O(depth^2 * dims) overlap queries, independent of
+/// the trip counts for contiguous shapes. Precondition: normalized nest.
 std::vector<MultiLevelPoint> multiLevelPoints(const loopir::LoopNest& nest,
                                               const loopir::ArrayAccess& access);
 

@@ -378,26 +378,11 @@ SignalExploration exploreSignalImpl(const Program& p, int signal,
     dr::trace::TraceCursor cursor(pn, map, filter);
     result.Ctot = cursor.length();
     DR_REQUIRE_MSG(result.Ctot > 0, "signal is never read");
-    if (opts.runSimulation) {
-      // The stack engine runs in step 4: the planned curve sizes decide
-      // there whether a journaled prior run already answers everything
-      // (in which case no engine pass happens at all).
-    } else {
-      // No stack engine needed: one densifying pass counts the distinct
-      // elements in O(distinct) memory.
-      cursor.attachBudget(opts.budget);
-      const auto [lo, hi] = cursor.addressRange();
-      simcore::StreamingDensifier densifier(lo, hi);
-      std::vector<i64> buf;
-      while (cursor.nextChunk(buf) > 0)
-        for (i64 addr : buf) densifier.idOf(addr);
-      result.distinctElements = densifier.distinct();
-      result.simulationStats.totalEvents = result.Ctot;
-      if (cursor.truncated()) {
-        result.simulationStats.completed = false;
-        result.simulationStats.trippedBy = opts.budget->state();
-      }
-    }
+    // With simulation on, the stack engine runs in step 4: the planned
+    // curve sizes decide there whether a journaled prior run already
+    // answers everything (in which case no engine pass happens at all).
+    // Without it, the distinct count is taken after step 3.
+    if (!opts.runSimulation) result.simulationStats.totalEvents = result.Ctot;
   } else {
     trace = dr::trace::readTrace(pn, map, signal);
     result.Ctot = trace.length();
@@ -483,6 +468,29 @@ SignalExploration exploreSignalImpl(const Program& p, int signal,
       if (!indices.empty())
         result.kneesPerNest.push_back(
             analytic::workingSetKnees(pn, map, static_cast<int>(n), indices));
+    }
+  }
+
+  // Analytic-only runs still report the footprint. With one reading nest
+  // its level-0 knee is exactly the distinct read count; otherwise one
+  // densifying pass counts it in O(distinct) memory.
+  if (streaming && !opts.runSimulation) {
+    if (result.kneesPerNest.size() == 1) {
+      result.distinctElements =
+          result.kneesPerNest.front().front().workingSetMax;
+    } else {
+      dr::trace::TraceCursor cursor(pn, map, filter);
+      cursor.attachBudget(opts.budget);
+      const auto [lo, hi] = cursor.addressRange();
+      simcore::StreamingDensifier densifier(lo, hi);
+      std::vector<i64> buf;
+      while (cursor.nextChunk(buf) > 0)
+        for (i64 addr : buf) densifier.idOf(addr);
+      result.distinctElements = densifier.distinct();
+      if (cursor.truncated()) {
+        result.simulationStats.completed = false;
+        result.simulationStats.trippedBy = opts.budget->state();
+      }
     }
   }
 
